@@ -26,12 +26,12 @@
 //!   membership tests per instruction (see [`Scratch::count_marked`]).
 //! - [`Kernel::SimdMerge`] — chunked merge that compares blocks of
 //!   elements per step ([`crate::simd`]): AVX2/SSE all-pairs compare
-//!   under the `simd` cargo feature (runtime-detected), a scalar block
-//!   merge otherwise.
+//!   on `x86_64` (AVX2 runtime-detected), a scalar block merge
+//!   elsewhere.
 //! - [`Kernel::Adaptive`] — the crossover selector: pins every vertex
 //!   with at least [`PIN_DEGREE`] out-edges and probes through the
 //!   fastest membership kernel available (the AVX2 eight-wide gather of
-//!   [`crate::simd::probe_count`] under the `simd` feature, the scalar
+//!   [`crate::simd::probe_count`] where the CPU has AVX2, the scalar
 //!   loop otherwise), escaping to a gallop when a probe list outweighs
 //!   the pinned list by [`PROBE_GALLOP_RATIO`]; raw pairs go through
 //!   the [`GALLOP_RATIO`] gallop/merge crossover.
@@ -123,8 +123,8 @@ pub enum Kernel {
     /// Bitmap mark-and-probe, one packed `u64` word per probe
     /// (`AND` + `count_ones` over up to 64 candidates at a time).
     WordBitmap,
-    /// Chunked/vectorised merge (`simd` feature: AVX2/SSE; otherwise a
-    /// scalar block merge).
+    /// Chunked/vectorised merge (AVX2/SSE on `x86_64`; a scalar block
+    /// merge elsewhere).
     SimdMerge,
     /// Size-ratio crossover between the above.
     Adaptive,
@@ -340,8 +340,8 @@ impl Scratch {
 
     /// [`count_marked_scalar`](Scratch::count_marked_scalar) through the
     /// fastest probe kernel available — the AVX2 eight-wide gather tier
-    /// of [`crate::simd::probe_count`] when the `simd` feature is on
-    /// and the CPU has it, the identical scalar loop otherwise. This is
+    /// of [`crate::simd::probe_count`] when the CPU has it, the
+    /// identical scalar loop otherwise. This is
     /// what [`Kernel::Adaptive`] probes with.
     pub fn count_marked_fast(&self, list: &[VertexId]) -> u64 {
         crate::simd::probe_count(&self.words, self.clip(list))
@@ -457,12 +457,12 @@ pub fn intersect_words(a: &[VertexId], b: &[VertexId], scratch: &mut Scratch) ->
 }
 
 /// The merge used on the balanced side of the adaptive crossover: the
-/// vectorised kernel when the `simd` feature is enabled, the plain
-/// scalar merge otherwise (without vector units the block fallback's
-/// all-pairs compares cost more than the two-pointer walk).
+/// vectorised kernel on `x86_64`, the plain scalar merge elsewhere
+/// (without vector units the block fallback's all-pairs compares cost
+/// more than the two-pointer walk).
 #[inline]
 fn adaptive_merge(a: &[VertexId], b: &[VertexId]) -> u64 {
-    if cfg!(feature = "simd") {
+    if cfg!(target_arch = "x86_64") {
         crate::simd::simd_merge_count(a, b)
     } else {
         merge_count(a, b)

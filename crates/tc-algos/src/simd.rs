@@ -12,20 +12,21 @@
 //!
 //! Three tiers, best available chosen at runtime:
 //!
-//! - **AVX2** (`simd` feature, `x86_64`, detected via
-//!   `is_x86_feature_detected!`): 8×8 candidate pairs per step — one
-//!   `vpcmpeqd` against each of the 8 cyclic rotations of the other
-//!   block, OR-accumulated, `movemask` + `count_ones`.
-//! - **SSE2** (`simd` feature, `x86_64`, always present on the 64-bit
+//! - **AVX2** (`x86_64`, detected via `is_x86_feature_detected!`): 8×8
+//!   candidate pairs per step — one `vpcmpeqd` against each of the 8
+//!   cyclic rotations of the other block, OR-accumulated, `movemask` +
+//!   `count_ones`.
+//! - **SSE2** (`x86_64` without AVX2; SSE2 is part of the 64-bit
 //!   baseline): the same dance at 4×4.
-//! - **Scalar block fallback** (all other builds — including the
-//!   default feature set, so the kernel is selectable and tested
-//!   everywhere): 4×4 all-pairs compare written as plain loops over
-//!   skip-tested blocks. The block bound checks (`a_max < b[0]`) let it
-//!   skip disjoint runs four at a time, but without vector units the
-//!   all-pairs compare does more raw work than the two-pointer walk, so
-//!   [`Kernel::Adaptive`] only routes merges here when the `simd`
-//!   feature is on.
+//! - **Scalar block fallback** (every other target): 4×4 all-pairs
+//!   compare written as plain loops over skip-tested blocks. The block
+//!   bound checks (`a_max < b[0]`) let it skip disjoint runs four at a
+//!   time, but without vector units the all-pairs compare does more raw
+//!   work than the two-pointer walk, so [`Kernel::Adaptive`] only
+//!   routes merges here on `x86_64`.
+//!
+//! Direct-call differential tests (`block_fallback_matches_scalar_merge`,
+//! [`probe_count_scalar`]) cover the scalar tiers on `x86_64` too.
 //!
 //! Operands must be strictly increasing (duplicate-free sorted sets) —
 //! the invariant every adjacency list in the workspace already holds.
@@ -36,9 +37,12 @@
 //! unaligned vector loads take raw pointers, and the AVX2 entry point is
 //! a `#[target_feature]` function that must only be reached behind the
 //! runtime detection check (which is how [`simd_merge_count`] calls it).
+//! `is_x86_feature_detected!` caches its answer, so each check on the hot
+//! path is one atomic load.
 
 #![allow(unsafe_code)]
 
+use crate::intersect::merge_count;
 use tc_graph::VertexId;
 
 /// Hints the prefetcher to pull the cache line(s) backing `list` toward
@@ -79,17 +83,17 @@ pub fn prefetch(list: &[VertexId]) {
 /// Exact `|a ∩ b|` of two strictly-increasing slices via the best
 /// available chunked kernel (AVX2 → SSE2 → scalar blocks).
 pub fn simd_merge_count(a: &[VertexId], b: &[VertexId]) -> u64 {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     {
-        if avx2_enabled() {
-            // SAFETY: `merge_count_avx2` requires AVX2, which
-            // `avx2_enabled` just verified on this CPU.
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: `merge_count_avx2` requires AVX2, which was just
+            // detected on this CPU.
             unsafe { x86::merge_count_avx2(a, b) }
         } else {
             x86::merge_count_sse2(a, b)
         }
     }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+    #[cfg(not(target_arch = "x86_64"))]
     block_merge_count(a, b)
 }
 
@@ -105,15 +109,15 @@ pub fn simd_merge_count(a: &[VertexId], b: &[VertexId]) -> u64 {
 /// **eight probes per step** — one `vpgatherdd` for the eight half-words,
 /// a `vpsrlvd` by each `v & 31`, mask to the low bit, lane-add.
 ///
-/// Falls back to the scalar loop when the `simd` feature is off, AVX2
-/// is absent, the list is too short for the gather latency to beat a
-/// handful of scalar loads, or the largest id overruns the bitmap
-/// (every live gather lane's index must be in bounds).
+/// Falls back to the scalar loop off `x86_64`, when AVX2 is absent, the
+/// list is too short for the gather latency to beat a handful of scalar
+/// loads, or the largest id overruns the bitmap (every live gather
+/// lane's index must be in bounds).
 pub fn probe_count(words: &[u64], list: &[VertexId]) -> u64 {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     {
         if list.len() >= 4
-            && avx2_enabled()
+            && std::arch::is_x86_feature_detected!("avx2")
             && ((*list.last().unwrap() >> 5) as usize) < words.len() * 2
         {
             // SAFETY: AVX2 just verified; the list is sorted, so the
@@ -137,49 +141,26 @@ pub fn probe_count_scalar(words: &[u64], list: &[VertexId]) -> u64 {
 }
 
 /// Name of the merge tier [`simd_merge_count`] dispatches to on this
-/// build and CPU — `"avx2"`, `"sse2"`, or `"scalar-block"`. Benchmarks
+/// target and CPU — `"avx2"`, `"sse2"`, or `"scalar-block"`. Benchmarks
 /// record it so BENCH numbers say which kernel actually ran.
 pub fn active_tier() -> &'static str {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     {
-        if avx2_enabled() {
+        if std::arch::is_x86_feature_detected!("avx2") {
             "avx2"
         } else {
             "sse2"
         }
     }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+    #[cfg(not(target_arch = "x86_64"))]
     {
         "scalar-block"
     }
 }
 
-/// Memoised `is_x86_feature_detected!("avx2")` — one relaxed atomic load
-/// on the hot path instead of the detection machinery per call.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-fn avx2_enabled() -> bool {
-    use std::sync::atomic::{AtomicU8, Ordering};
-    static CACHE: AtomicU8 = AtomicU8::new(0);
-    match CACHE.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => {
-            let avx2 = std::arch::is_x86_feature_detected!("avx2");
-            CACHE.store(if avx2 { 1 } else { 2 }, Ordering::Relaxed);
-            avx2
-        }
-    }
-}
-
-/// Scalar tail: finishes a partially-consumed pair of lists with the
-/// plain two-pointer merge.
-#[inline]
-fn scalar_tail(a: &[VertexId], b: &[VertexId]) -> u64 {
-    crate::intersect::merge_count(a, b)
-}
-
 /// Scalar block merge: 4-element blocks, skip-tested on their bounds,
-/// all-pairs compared when they overlap. The portable fallback tier —
+/// all-pairs compared when they overlap, the rest finished by the plain
+/// two-pointer merge. The portable fallback tier —
 /// also the reference the vector tiers are differentially tested
 /// against.
 pub fn block_merge_count(a: &[VertexId], b: &[VertexId]) -> u64 {
@@ -211,17 +192,17 @@ pub fn block_merge_count(a: &[VertexId], b: &[VertexId]) -> u64 {
             j += B;
         }
     }
-    count + scalar_tail(&a[i..], &b[j..])
+    count + merge_count(&a[i..], &b[j..])
 }
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod x86 {
     //! The SSE2 and AVX2 tiers. Every intrinsic here is either gated by
     //! the `x86_64` baseline feature set (SSE2) or lives in a
     //! `#[target_feature(enable = "avx2")]` function reached only behind
     //! runtime detection.
 
-    use super::scalar_tail;
+    use crate::intersect::merge_count;
     use std::arch::x86_64::*;
     use tc_graph::VertexId;
 
@@ -256,7 +237,7 @@ mod x86 {
                 j += B;
             }
         }
-        count + scalar_tail(&a[i..], &b[j..])
+        count + merge_count(&a[i..], &b[j..])
     }
 
     /// 8×8 all-pairs block intersection on AVX2.
@@ -305,7 +286,7 @@ mod x86 {
                 }
             }
         }
-        count + scalar_tail(&a[i..], &b[j..])
+        count + merge_count(&a[i..], &b[j..])
     }
 
     /// Eight bitmap membership probes per step via `vpgatherdd` (the
@@ -381,7 +362,6 @@ mod x86 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::intersect::merge_count;
 
     /// Adversarial sorted-set shapes: every length around the block and
     /// word boundaries, plus all-overlap / no-overlap / interleaved.
@@ -424,7 +404,7 @@ mod tests {
         }
     }
 
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     #[test]
     fn sse2_matches_scalar_merge() {
         for (a, b) in fixtures() {
@@ -432,7 +412,7 @@ mod tests {
         }
     }
 
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     #[test]
     fn avx2_matches_scalar_merge() {
         if !std::arch::is_x86_feature_detected!("avx2") {
@@ -489,7 +469,7 @@ mod tests {
         assert_eq!(probe_count(&[], &list), 0);
     }
 
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     #[test]
     fn avx2_probe_matches_scalar_probe() {
         if !std::arch::is_x86_feature_detected!("avx2") {

@@ -149,7 +149,7 @@ proptest! {
             expect
         );
         prop_assert_eq!(simd::simd_merge_count(&b, &a), expect);
-        // The pinned probe path (gather-accelerated under `simd`) and
+        // The pinned probe path (gather-accelerated on AVX2) and
         // its scalar reference, probing each side against the other.
         for (pinned, probed) in [(&a, &b), (&b, &a)] {
             scratch.mark(pinned);

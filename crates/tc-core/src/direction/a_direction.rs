@@ -18,9 +18,9 @@
 //! choices — earlier-peeled vertices point at later-peeled ones, and
 //! within a wave the smaller-degree endpoint points at the larger — while
 //! making acyclicity a property of the total order instead of an accident
-//! of execution order. Complexity is `O(|E| + |V| log |V|)` (the paper
-//! states `O(|E|)`; our extra log comes from the final argsort and is
-//! irrelevant in practice).
+//! of execution order. The exact peel ([`a_direction_rank`]) is `O(|E|)`,
+//! the paper's bound; the phased variant ([`a_direction_phased_rank`]) is
+//! `O(|E| + |V| log |V|)`, the extra log from its final argsort.
 
 use tc_graph::{CsrGraph, VertexId};
 

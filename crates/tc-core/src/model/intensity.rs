@@ -98,6 +98,13 @@ impl ModelParams {
         self.f_m(d) - self.lambda * self.f_c(d)
     }
 
+    /// [`ModelParams::memory_superiority`] of every degree `0..=max_d`,
+    /// indexed by degree. A-order looks each item up here instead of
+    /// evaluating the model (3 `log2`, 2 `sqrt` and a search) per item.
+    pub(crate) fn memory_superiority_table(&self, max_d: usize) -> Vec<f64> {
+        (0..=max_d).map(|d| self.memory_superiority(d)).collect()
+    }
+
     /// Whether a vertex of out-degree `d` is memory-dominated.
     pub fn is_memory_dominated(&self, d: usize) -> bool {
         self.memory_superiority(d) > 0.0

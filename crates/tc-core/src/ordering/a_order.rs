@@ -23,10 +23,12 @@ pub fn a_order_permutation(
     }
     let bucket_size = bucket_size.max(1);
     let num_buckets = n.div_ceil(bucket_size);
+    let superiority =
+        params.memory_superiority_table(out_degrees.iter().copied().max().unwrap_or(0));
     let items: Vec<(u32, f64)> = out_degrees
         .iter()
         .enumerate()
-        .map(|(v, &d)| (v as u32, params.memory_superiority(d)))
+        .map(|(v, &d)| (v as u32, superiority[d]))
         .collect();
     let buckets = balanced_buckets(&items, num_buckets, bucket_size);
     let order: Vec<u32> = buckets.into_iter().flatten().collect();
@@ -59,6 +61,28 @@ mod tests {
         let degrees: Vec<usize> = (0..137).map(|i| (i * 7) % 100).collect();
         let p = a_order_permutation(&degrees, &ModelParams::default_analytic(), 16);
         assert_eq!(p.len(), 137);
+    }
+
+    #[test]
+    fn table_lookup_matches_per_vertex_evaluation() {
+        // Every degree 0..=20 000 once, scrambled (7919 is coprime to
+        // 20 001), against the per-vertex evaluation the table replaces.
+        let degrees: Vec<usize> = (0..=20_000).map(|i| (i * 7919) % 20_001).collect();
+        let params = ModelParams::default_analytic();
+        let k = 64;
+        let items: Vec<(u32, f64)> = degrees
+            .iter()
+            .enumerate()
+            .map(|(v, &d)| (v as u32, params.memory_superiority(d)))
+            .collect();
+        let order: Vec<u32> = balanced_buckets(&items, degrees.len().div_ceil(k), k)
+            .into_iter()
+            .flatten()
+            .collect();
+        assert_eq!(
+            a_order_permutation(&degrees, &params, k),
+            Permutation::from_order(&order)
+        );
     }
 
     #[test]

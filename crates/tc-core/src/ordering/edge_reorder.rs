@@ -21,12 +21,15 @@ pub fn a_order_edges(g: &DirectedGraph, params: &ModelParams, edges_per_block: u
         return Vec::new();
     }
     let edges_per_block = edges_per_block.max(1);
+    // An edge's work is at most twice the largest out-degree.
+    let max_out = g.vertices().map(|u| g.out_degree(u)).max().unwrap_or(0);
+    let superiority = params.memory_superiority_table(2 * max_out);
     let mut items = Vec::with_capacity(m);
     let mut e = 0u32;
     for u in g.vertices() {
         for &v in g.out_neighbors(u) {
             let work = g.out_degree(u) + g.out_degree(v);
-            items.push((e, params.memory_superiority(work)));
+            items.push((e, superiority[work]));
             e += 1;
         }
     }

@@ -4,7 +4,7 @@ use crate::direction::DirectionScheme;
 use crate::model::ModelParams;
 use crate::ordering::{OrderingContext, OrderingScheme};
 use std::time::{Duration, Instant};
-use tc_graph::{orient_by_rank, CsrGraph, DirectedGraph, Permutation};
+use tc_graph::{relabel_and_orient, CsrGraph, DirectedGraph, Permutation};
 
 /// Wall-clock cost of each preprocessing stage. The paper's "total time"
 /// columns add the relevant stage(s) to the kernel time — preprocessing
@@ -225,15 +225,8 @@ impl Preprocessor {
 
         // Stage 3: rebuild in the new id space.
         let t = Instant::now();
-        let reordered = permutation.apply(g);
-        let mut new_rank = vec![0u64; rank.len()];
-        let mut out_degrees = vec![0usize; rank.len()];
-        for old in 0..rank.len() {
-            let new = permutation.map(old as u32) as usize;
-            new_rank[new] = rank[old];
-            out_degrees[new] = out_degrees_old[old];
-        }
-        let directed = orient_by_rank(&reordered, &new_rank);
+        let (reordered, directed) = relabel_and_orient(g, &permutation, &rank, &out_degrees_old);
+        let out_degrees = directed.out_degrees();
         let rebuild_time = t.elapsed();
 
         PreprocessResult {
@@ -288,6 +281,79 @@ mod tests {
         }
     }
 
+    /// The sort-based rebuild the scatter in [`relabel_and_orient`]
+    /// replaced: relabel every row, sort it, then orient the relabelled
+    /// graph by the relabelled rank.
+    fn sort_based_rebuild(
+        g: &CsrGraph,
+        perm: &Permutation,
+        rank: &[u64],
+    ) -> (CsrGraph, DirectedGraph, Vec<usize>) {
+        let n = g.num_vertices();
+        let inv = perm.inverse();
+        let mut offsets = vec![0usize];
+        let mut neighbors = Vec::new();
+        for new_u in 0..n as u32 {
+            let start = neighbors.len();
+            neighbors.extend(g.neighbors(inv.map(new_u)).iter().map(|&v| perm.map(v)));
+            neighbors[start..].sort_unstable();
+            offsets.push(neighbors.len());
+        }
+        let reordered = CsrGraph::from_parts(offsets, neighbors);
+        let mut new_rank = vec![0u64; n];
+        for old in 0..n as u32 {
+            new_rank[perm.map(old) as usize] = rank[old as usize];
+        }
+        let directed = tc_graph::orient_by_rank(&reordered, &new_rank);
+        let out_degrees = directed.out_degrees();
+        (reordered, directed, out_degrees)
+    }
+
+    #[test]
+    fn scatter_rebuild_matches_sort_based_rebuild() {
+        let star =
+            tc_graph::GraphBuilder::from_edges(40, &(1..40).map(|v| (0, v)).collect::<Vec<_>>())
+                .build();
+        let graphs = [
+            tc_graph::generators::erdos_renyi(300, 1500, 5),
+            power_law_configuration(400, 2.1, 8.0, 6),
+            star,
+            CsrGraph::empty(0),
+            CsrGraph::empty(7),
+        ];
+        let directions = [
+            DirectionScheme::IdBased,
+            DirectionScheme::DegreeBased,
+            DirectionScheme::ADirection,
+            DirectionScheme::ADirectionPhased,
+        ];
+        let orderings = [
+            OrderingScheme::Original,
+            OrderingScheme::DegreeOrder,
+            OrderingScheme::AOrder,
+            OrderingScheme::Gro,
+        ];
+        for g in &graphs {
+            for direction in directions {
+                for ordering in orderings {
+                    let prep = Preprocessor::new()
+                        .direction(direction)
+                        .ordering(ordering)
+                        .bucket_size(8)
+                        .run(g);
+                    let rank = direction.rank(g);
+                    let (reordered, directed, out_degrees) =
+                        sort_based_rebuild(g, prep.permutation(), &rank);
+                    let what = format!("{} + {}", direction.name(), ordering.name());
+                    assert_eq!(prep.graph(), &reordered, "{what}: relabelled CSR");
+                    assert_eq!(prep.permutation().apply(g), reordered, "{what}: apply");
+                    assert_eq!(prep.directed(), &directed, "{what}: oriented CSR");
+                    assert_eq!(prep.out_degrees(), &out_degrees[..], "{what}: out-degrees");
+                }
+            }
+        }
+    }
+
     #[test]
     fn out_degrees_match_directed_graph() {
         let g = power_law_configuration(200, 2.1, 6.0, 9);
@@ -315,5 +381,38 @@ mod tests {
             prep.permutation(),
             &tc_graph::Permutation::identity(g.num_vertices())
         );
+    }
+
+    /// 64-bit FNV-1a over little-endian words.
+    fn fnv1a(hash: &mut u64, bytes: &[u8]) {
+        for &b in bytes {
+            *hash ^= u64::from(b);
+            *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// Pins the `email-Enron` A-direction + A-order output (permutation,
+    /// oriented offsets and out-neighbours) at the analytic parameters
+    /// and k = 64, so a faster rebuild or ordering cannot change it.
+    #[test]
+    fn enron_a_direction_a_order_output_is_pinned() {
+        let g = tc_datasets::load(tc_datasets::Dataset::EmailEnron);
+        let prep = Preprocessor::new()
+            .direction(DirectionScheme::ADirection)
+            .ordering(OrderingScheme::AOrder)
+            .params(ModelParams::default_analytic())
+            .bucket_size(64)
+            .run(&g);
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for &p in prep.permutation().as_slice() {
+            fnv1a(&mut h, &p.to_le_bytes());
+        }
+        for &o in prep.directed().offsets() {
+            fnv1a(&mut h, &(o as u64).to_le_bytes());
+        }
+        for &v in prep.directed().out_neighbor_array() {
+            fnv1a(&mut h, &v.to_le_bytes());
+        }
+        assert_eq!(h, 0x3334_7346_22fa_3820, "preprocessing output drifted");
     }
 }

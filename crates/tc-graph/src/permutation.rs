@@ -92,27 +92,37 @@ impl Permutation {
     }
 
     /// Relabels a graph: vertex `u` becomes `perm.map(u)`.
+    ///
+    /// One `O(|V| + |E|)` scatter: new ids `w` are taken in ascending
+    /// order and appended to the rows of their neighbours, so every row
+    /// fills sorted. [`crate::relabel_and_orient`] does the same while
+    /// orienting.
     pub fn apply(&self, g: &CsrGraph) -> CsrGraph {
         assert_eq!(self.len(), g.num_vertices(), "permutation size mismatch");
-        let n = g.num_vertices();
         let inv = self.inverse();
-
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0usize);
-        let mut acc = 0usize;
-        for new_u in 0..n as VertexId {
-            acc += g.degree(inv.map(new_u));
-            offsets.push(acc);
-        }
-
-        let mut neighbors = Vec::with_capacity(acc);
-        for new_u in 0..n as VertexId {
-            let old_u = inv.map(new_u);
-            let start = neighbors.len();
-            neighbors.extend(g.neighbors(old_u).iter().map(|&v| self.map(v)));
-            neighbors[start..].sort_unstable();
+        let offsets = inv.prefix_sums(|u| g.degree(u));
+        let mut cursor = offsets[..self.len()].to_vec();
+        let mut neighbors = vec![0 as VertexId; offsets[self.len()]];
+        for (w, &u) in inv.old_to_new.iter().enumerate() {
+            for &x in g.neighbors(u) {
+                let row = self.old_to_new[x as usize] as usize;
+                neighbors[cursor[row]] = w as VertexId;
+                cursor[row] += 1;
+            }
         }
         CsrGraph::from_parts(offsets, neighbors)
+    }
+
+    /// CSR offsets of rows laid out in this mapping's order: entry `k + 1`
+    /// sums `len` over the first `k + 1` mapped ids.
+    pub(crate) fn prefix_sums(&self, len: impl Fn(VertexId) -> usize) -> Vec<usize> {
+        let mut acc = 0usize;
+        std::iter::once(0)
+            .chain(self.old_to_new.iter().map(|&v| {
+                acc += len(v);
+                acc
+            }))
+            .collect()
     }
 }
 
